@@ -413,6 +413,7 @@ func postServiceVerify(b *testing.B, srv *service.Server, body []byte) {
 // pure LRU recall. Warm/cold is the serving layer's caching win.
 func BenchmarkServiceVerify(b *testing.B) {
 	srv, body, versions := serviceVerifyFixture(b)
+	b.ReportAllocs()
 
 	b.Run("cold", func(b *testing.B) {
 		// A fresh server so nothing is pre-built. Each iteration rotates

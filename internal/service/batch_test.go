@@ -106,64 +106,75 @@ func ndline(t *testing.T, v map[string]any) string {
 	return string(raw) + "\n"
 }
 
+// TestBatchMatchesSingleVerify holds the two endpoints to one answer: for
+// each request shape, a batch line (chain_pem or chain_der) minus its seq
+// is byte for byte the /v1/verify response — whole verdict rows, the at
+// instant (including a caller's UTC offset), the user_agent block and
+// escaped error text.
 func TestBatchMatchesSingleVerify(t *testing.T) {
 	eco, srv := fixture(t)
 	chain, _ := symantecChain(t, eco)
+	shapes := []map[string]any{
+		{"stores": []string{"NSS", "Microsoft"}, "at": "2020-11-15"},
+		{"stores": []string{"NSS", "Debian"}, "at": "2020-01-01T00:00:00+02:00"},
+		{"user_agent": uaFirefox, "stores": []string{"Debian"}, "at": "2020-11-15T08:30:00.25-05:00"},
+		{"user_agent": "okhttp/4.9.0", "stores": []string{"Microsoft"}},
+		{"stores": []string{"Microsoft"}, "at": "2020-11-15", "dns_name": "a<&>b.example.test"},
+	}
+	for _, shape := range shapes {
+		single := map[string]any{"chain_pem": chain}
+		for k, v := range shape {
+			single[k] = v
+		}
+		// The second single verify answers from the verdict cache, as the
+		// batch lines after it do.
+		postVerifyRaw(t, srv, single)
+		want := postVerifyRaw(t, srv, single)
 
-	// The single-verify answer is the oracle.
-	status, single := postVerify(t, srv, map[string]any{
-		"chain_pem": chain, "stores": []string{"NSS", "Microsoft"}, "at": "2020-11-15",
-	})
-	if status != http.StatusOK {
-		t.Fatalf("single verify status %d", status)
+		der := map[string]any{"chain_der": derChain(t, chain)}
+		for k, v := range shape {
+			der[k] = v
+		}
+		lines := postBatchRaw(t, srv, ndline(t, single)+ndline(t, der))
+		if len(lines) != 2 {
+			t.Fatalf("%v: got %d lines, want 2", shape, len(lines))
+		}
+		for i, line := range lines {
+			prefix := fmt.Sprintf(`{"seq":%d,`, i)
+			if !strings.HasPrefix(line, prefix) {
+				t.Fatalf("%v: line %d = %s, want prefix %s", shape, i, line, prefix)
+			}
+			if got := "{" + line[len(prefix):]; got != want {
+				t.Errorf("%v: line %d differs from /v1/verify\n got %s\nwant %s", shape, i, got, want)
+			}
+		}
 	}
-	wantHash := single["chain_sha256"].(string)
-	singleVerdicts := single["verdicts"].([]any)
+}
 
-	body := ndline(t, map[string]any{
-		"chain_pem": chain, "stores": []string{"NSS", "Microsoft"}, "at": "2020-11-15",
-	}) + ndline(t, map[string]any{
-		"chain_der": derChain(t, chain), "stores": []string{"NSS", "Microsoft"}, "at": "2020-11-15",
-	})
-	lines := postBatch(t, srv, body)
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
+// postVerifyRaw posts a /v1/verify body and returns the 200 response bytes.
+func postVerifyRaw(t *testing.T, srv *service.Server, body map[string]any) string {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/verify", strings.NewReader(ndline(t, body)))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("single verify status %d: %s", rec.Code, rec.Body.String())
 	}
-	for i, line := range lines {
-		if line.Seq != i {
-			t.Errorf("line %d has seq %d", i, line.Seq)
-		}
-		if line.Error != "" {
-			t.Fatalf("line %d errored: %s", i, line.Error)
-		}
-		// chain_der and chain_pem must agree on the chain identity: the
-		// hash is over the same DER bytes either way.
-		if line.ChainSHA256 != wantHash {
-			t.Errorf("line %d chain hash %s, want %s", i, line.ChainSHA256, wantHash)
-		}
-		if line.At == "" {
-			t.Errorf("line %d missing at", i)
-		}
-		if len(line.Verdicts) != len(singleVerdicts) {
-			t.Fatalf("line %d has %d verdicts, want %d", i, len(line.Verdicts), len(singleVerdicts))
-		}
-		for j, v := range line.Verdicts {
-			want := singleVerdicts[j].(map[string]any)
-			if v.Store != want["store"].(string) {
-				t.Errorf("line %d verdict %d store %q, want %q", i, j, v.Store, want["store"])
-			}
-			if v.Outcome != want["outcome"].(string) {
-				t.Errorf("line %d verdict %d outcome %q, want %q", i, j, v.Outcome, want["outcome"])
-			}
-			if anchor, _ := want["anchor"].(string); v.AnchorFingerprint != anchor {
-				t.Errorf("line %d verdict %d anchor %q, want %q", i, j, v.AnchorFingerprint, anchor)
-			}
-			if !v.Cached {
-				// The single verify above already warmed the cache.
-				t.Errorf("line %d verdict %d not served from the verdict cache", i, j)
-			}
-		}
+	return rec.Body.String()
+}
+
+// postBatchRaw posts an NDJSON batch and returns its response lines, each
+// with its newline.
+func postBatchRaw(t *testing.T, srv *service.Server, body string) []string {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/verify/batch", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch status = %d: %s", rec.Code, rec.Body.String())
 	}
+	lines := strings.SplitAfter(rec.Body.String(), "\n")
+	return lines[:len(lines)-1] // after the last newline: empty
 }
 
 func TestBatchUserAgentRouting(t *testing.T) {
@@ -230,12 +241,13 @@ func TestBatchUnknownStoreAndBadAt(t *testing.T) {
 	chain, _ := symantecChain(t, eco)
 	body := ndline(t, map[string]any{"chain_pem": chain, "stores": []string{"NetBSD"}}) +
 		ndline(t, map[string]any{"chain_pem": chain, "at": "yesterday"}) +
-		ndline(t, map[string]any{"chain_pem": chain, "purpose": "world-domination"})
+		ndline(t, map[string]any{"chain_pem": chain, "purpose": "world-domination"}) +
+		ndline(t, map[string]any{"chain_pem": chain, "at": "2020-01-01T00:00:00+24:00"})
 	lines := postBatch(t, srv, body)
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want 4", len(lines))
 	}
-	for i, want := range []string{"unknown provider", "invalid time", "purpose"} {
+	for i, want := range []string{"unknown provider", "invalid time", "purpose", "invalid time"} {
 		if !strings.Contains(lines[i].Error, want) {
 			t.Errorf("line %d error = %q, want %q", i, lines[i].Error, want)
 		}

@@ -10,9 +10,11 @@ package service
 //
 // Correctness never depends on this parser: fastParseLine answers false for
 // ANYTHING outside the plain shape — unknown keys, nested values, escape
-// sequences in short strings, duplicate-free syntax it does not want to
-// reason about — and the caller falls back to encoding/json, which remains
-// the arbiter of validity and of error messages.
+// sequences in short strings, control or non-ASCII bytes inside strings,
+// duplicate-free syntax it does not want to reason about — and the caller
+// falls back to encoding/json, which remains the arbiter of validity and of
+// error messages. FuzzFastParseLine holds it to that: whatever it accepts,
+// encoding/json accepts and decodes to the same fields.
 
 // lineFields is the decoded form of one batch line. All slices point into
 // worker-owned memory (the line buffer or scratch); nothing escapes a line's
@@ -34,6 +36,17 @@ func (f *lineFields) reset() {
 }
 
 func jsonSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// plainByte marks the bytes a string can carry verbatim on the fast path:
+// printable ASCII other than the quote and the backslash. encoding/json
+// rejects raw control bytes and rewrites invalid UTF-8, so both send the
+// line to the fallback instead of being copied through.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && jsonSpace(b[i]) {
@@ -60,13 +73,10 @@ func fastParseLine(line []byte, f *lineFields, pemBuf *[]byte) bool {
 		}
 		kStart := i + 1
 		j := kStart
-		for j < len(line) && line[j] != '"' {
-			if line[j] == '\\' {
-				return false
-			}
+		for j < len(line) && plainByte[line[j]] {
 			j++
 		}
-		if j >= len(line) {
+		if j >= len(line) || line[j] != '"' {
 			return false
 		}
 		key := line[kStart:j]
@@ -112,22 +122,21 @@ func fastParseLine(line []byte, f *lineFields, pemBuf *[]byte) bool {
 	}
 }
 
-// readPlainString reads a JSON string that contains no escape sequences,
-// returning a view into b. Escapes (or a non-string value) answer !ok.
+// readPlainString reads a JSON string of plain bytes only, returning a view
+// into b. Escapes, other bytes or a non-string value answer !ok.
 func readPlainString(b []byte, i int) (s []byte, next int, ok bool) {
 	if i >= len(b) || b[i] != '"' {
 		return nil, i, false
 	}
 	start := i + 1
-	for j := start; j < len(b); j++ {
-		switch b[j] {
-		case '"':
-			return b[start:j], j + 1, true
-		case '\\':
-			return nil, i, false
-		}
+	j := start
+	for j < len(b) && plainByte[b[j]] {
+		j++
 	}
-	return nil, i, false
+	if j >= len(b) || b[j] != '"' {
+		return nil, i, false
+	}
+	return b[start:j], j + 1, true
 }
 
 // readString reads a JSON string, unescaping into *buf only when the value
@@ -139,7 +148,7 @@ func readString(b []byte, i int, buf *[]byte) (s []byte, next int, ok bool) {
 	}
 	start := i + 1
 	j := start
-	for j < len(b) && b[j] != '"' && b[j] != '\\' {
+	for j < len(b) && plainByte[b[j]] {
 		j++
 	}
 	if j >= len(b) {
@@ -147,6 +156,9 @@ func readString(b []byte, i int, buf *[]byte) (s []byte, next int, ok bool) {
 	}
 	if b[j] == '"' { // no escapes: zero-copy view
 		return b[start:j], j + 1, true
+	}
+	if b[j] != '\\' {
+		return nil, i, false
 	}
 	out := (*buf)[:0]
 	out = append(out, b[start:j]...)
@@ -176,8 +188,11 @@ func readString(b []byte, i int, buf *[]byte) (s []byte, next int, ok bool) {
 			j++
 		default:
 			k := j
-			for k < len(b) && b[k] != '"' && b[k] != '\\' {
+			for k < len(b) && plainByte[b[k]] {
 				k++
+			}
+			if k == j {
+				return nil, i, false
 			}
 			out = append(out, b[j:k]...)
 			j = k

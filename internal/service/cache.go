@@ -87,21 +87,10 @@ func newLRUCache(capacity int) *lruCache {
 	return &lruCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (c *lruCache) get(key string) (storeVerdict, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return storeVerdict{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).value, true
-}
-
 // getBytes looks up a key rendered into a reusable byte buffer. The
 // map index expression compiles to an allocation-free lookup
-// (m[string(b)] does not copy), which is what keeps the warm verdict
-// path of the batch pipeline at zero allocations per hit.
+// (m[string(b)] does not copy), which is what keeps the verdict engine's
+// warm path at zero allocations per hit.
 func (c *lruCache) getBytes(key []byte) (storeVerdict, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -18,8 +18,10 @@
 //     (chain-hash, snapshot, purpose, dns, time). Both caches belong to
 //     the state they were built against and are dropped wholesale on swap,
 //     so a re-ingested snapshot can never serve stale verdicts.
-//   - POST /v1/verify fans out across the requested stores under a bounded
-//     worker semaphore and honours per-request context timeouts.
+//   - POST /v1/verify and every line of POST /v1/verify/batch run one
+//     verdict engine (engine.go): a cached verdict needs no certificate
+//     parse, and cold ones verify under a bounded worker semaphore that
+//     honours per-request context timeouts.
 //   - GET /v1/events replays the tracker's change-event log and
 //     /v1/events/watch streams it live (SSE) when a tracker is attached.
 package service
@@ -134,6 +136,10 @@ type dbState struct {
 	verifiers *verifierCache
 	verdicts  *lruCache
 
+	// frags memoizes each snapshot's verdict-engine fragments
+	// (*store.Snapshot → *snapFrag); see dbState.frag.
+	frags sync.Map
+
 	// epoch is the generation ordinal: locally installed generations count
 	// up from 1; generations installed from a cluster origin (SwapArchive)
 	// carry the origin's epoch, so a whole fleet agrees on which
@@ -170,6 +176,10 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler
 
+	// scratch pools the verdict engine's per-request state (*verifyScratch).
+	// It is per server because a scratch caches this server's counters.
+	scratch sync.Pool
+
 	// epochCounter allocates local generation ordinals; SwapArchive fast-
 	// forwards it to the origin's epoch so local and remote swaps never
 	// hand out the same epoch twice.
@@ -197,6 +207,7 @@ func New(db *store.Database, cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.VerifyWorkers),
 		mux:     http.NewServeMux(),
 	}
+	s.scratch.New = func() any { return newVerifyScratch() }
 	s.install(db, "", s.epochCounter.Add(1))
 
 	s.route("GET /v1/providers", s.handleProviders)

@@ -343,6 +343,7 @@ func TestVerifyBadInputs(t *testing.T) {
 		{"garbage PEM body", map[string]any{"chain_pem": "-----BEGIN CERTIFICATE-----\nAAAA\n-----END CERTIFICATE-----\n"}, http.StatusBadRequest},
 		{"bad purpose", map[string]any{"chain_pem": "x", "purpose": "world-domination"}, http.StatusBadRequest},
 		{"bad at", map[string]any{"chain_pem": "x", "at": "yesterday"}, http.StatusBadRequest},
+		{"unrenderable at offset", map[string]any{"chain_pem": "x", "at": "2020-01-01T00:00:00+24:00"}, http.StatusBadRequest},
 		{"unknown store", map[string]any{"chain_pem": "x", "stores": []string{"NetBSD"}}, http.StatusNotFound},
 		{"untraceable UA no stores", map[string]any{"chain_pem": "x", "user_agent": "okhttp/4.9.0"}, http.StatusUnprocessableEntity},
 	}
@@ -358,12 +359,19 @@ func TestVerifyBadInputs(t *testing.T) {
 		}
 	}
 
-	// Broken JSON.
-	req := httptest.NewRequest(http.MethodPost, "/v1/verify", strings.NewReader("{not json"))
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("broken JSON status = %d, want 400", rec.Code)
+	// Bodies encoding/json rejects: broken syntax, and a raw control byte
+	// inside a string, which the fast parser must not wave through.
+	chainJSON, _ := json.Marshal(chain)
+	for _, body := range []string{
+		"{not json",
+		`{"chain_pem":` + string(chainJSON) + ",\"user_agent\":\"x\x01y\",\"stores\":[\"NSS\"]}",
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/verify", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "invalid JSON body") {
+			t.Errorf("body %.40q: status = %d %s, want 400 invalid JSON body", body, rec.Code, rec.Body.String())
+		}
 	}
 }
 

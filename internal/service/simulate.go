@@ -82,7 +82,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.stampGeneration(w, st)
 
 	var req simulateRequest
-	if !s.decodeJSONBody(w, r, &req) {
+	if !s.decodeJSONBody(w, r.Body, &req) {
 		return
 	}
 	ev, err := parseSimulateRequest(req)

@@ -84,9 +84,9 @@ func BenchmarkVerify(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyPrebuiltPool measures the batch path: one intermediates
-// pool built up front and shared across every call — what fanoutVerify and
-// the /v1/verify/batch pipeline do per chain.
+// BenchmarkVerifyPrebuiltPool measures the serving path: one intermediates
+// pool built up front and shared across every call — what the service's
+// verdict engine does per chain, for /v1/verify and each batch line alike.
 func BenchmarkVerifyPrebuiltPool(b *testing.B) {
 	v, req := benchChain(b, 16)
 	req.InterPool = PoolIntermediates(req.Intermediates)
