@@ -1,10 +1,11 @@
 package obs
 
 // Prometheus text-format exposition (version 0.0.4), built from plain
-// values at scrape time. There is no registry and no background state:
-// callers assemble []MetricFamily from whatever they already track
-// (expvar trees, atomics, a database pointer) and WriteExposition
-// renders them with stable ordering and correct escaping. Lint and
+// values at scrape time, with no background state. A service declares
+// its own metrics once in a Registry (registry.go), whose Families feed
+// WriteExposition; subsystems without one (the tracker, the cluster
+// fabric, the Go runtime) assemble []MetricFamily directly. The writer
+// renders them with stable ordering and the format's escaping. Lint and
 // LintExposition are the promlint-style checks the golden tests and the
 // hermetic smoke binaries run against the output.
 
@@ -18,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // MetricType is the TYPE annotation of a family.
@@ -121,7 +123,9 @@ func WriteExposition(w io.Writer, families []MetricFamily) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
 		if f.Help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+			fmt.Fprintf(bw, "# HELP %s ", f.Name)
+			writeEscaped(bw, f.Help, false)
+			bw.WriteByte('\n')
 		}
 		typ := f.Type
 		if typ == "" {
@@ -144,7 +148,10 @@ func WriteExposition(w io.Writer, families []MetricFamily) error {
 					if i > 0 {
 						bw.WriteByte(',')
 					}
-					fmt.Fprintf(bw, "%s=%q", l.Name, escapeLabel(l.Value))
+					bw.WriteString(l.Name)
+					bw.WriteString(`="`)
+					writeEscaped(bw, l.Value, true)
+					bw.WriteByte('"')
 				}
 				bw.WriteByte('}')
 			}
@@ -154,7 +161,10 @@ func WriteExposition(w io.Writer, families []MetricFamily) error {
 				// OpenMetrics-style exemplar suffix — an extension
 				// over text format 0.0.4 (the content type stays
 				// 0.0.4; LintExposition accepts and validates it).
-				fmt.Fprintf(bw, " # {trace_id=%q} %s", escapeLabel(s.Exemplar.TraceID), formatValue(s.Exemplar.Seconds))
+				bw.WriteString(` # {trace_id="`)
+				writeEscaped(bw, s.Exemplar.TraceID, true)
+				bw.WriteString(`"} `)
+				bw.WriteString(formatValue(s.Exemplar.Seconds))
 			}
 			bw.WriteByte('\n')
 		}
@@ -198,16 +208,24 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// escapeHelp escapes backslash and newline per the exposition format.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+// writeEscaped writes s escaped as text format 0.0.4 defines: backslash
+// and newline as \\ and \n, and in label values (quoted) the double quote
+// as \". Nothing else is escaped: other valid UTF-8 is written as is, and
+// each byte of invalid UTF-8 becomes U+FFFD.
+func writeEscaped(bw *bufio.Writer, s string, quoted bool) {
+	for _, r := range s {
+		switch {
+		case r == '\\':
+			bw.WriteString(`\\`)
+		case r == '\n':
+			bw.WriteString(`\n`)
+		case r == '"' && quoted:
+			bw.WriteString(`\"`)
+		default:
+			bw.WriteRune(r)
+		}
+	}
 }
-
-// escapeLabel escapes the characters %q does not handle the Prometheus
-// way. %q already escapes backslash, quote and newline compatibly, so the
-// value passes through — kept as a function to document the contract.
-func escapeLabel(s string) string { return s }
 
 var (
 	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -356,13 +374,16 @@ func LintExposition(r io.Reader) []string {
 	infSeen := map[string]bool{}
 	bucketSeen := map[string]bool{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
 		if line == "" {
 			continue
+		}
+		if !utf8.ValidString(line) {
+			problems = append(problems, fmt.Sprintf("line %d: invalid UTF-8", lineNo))
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
 			fields := strings.Fields(line)
@@ -392,6 +413,9 @@ func LintExposition(r io.Reader) []string {
 		}
 		if _, err := parsePromValue(value); err != nil {
 			problems = append(problems, fmt.Sprintf("line %d: bad value %q", lineNo, value))
+		}
+		if _, err := parseLabels(labels); err != nil {
+			problems = append(problems, fmt.Sprintf("line %d: %v", lineNo, err))
 		}
 		base, ok := familyOf(name, types)
 		if !ok {
@@ -507,11 +531,8 @@ func lintExemplar(s string) error {
 	if err != nil {
 		return fmt.Errorf("malformed exemplar %q", s)
 	}
-	for _, part := range splitLabelPairs(s[1:j]) {
-		name, _, ok := strings.Cut(part, "=")
-		if !ok || !labelNameRe.MatchString(strings.TrimSpace(name)) {
-			return fmt.Errorf("bad exemplar label %q", part)
-		}
+	if _, err := parseLabels(s[1:j]); err != nil {
+		return fmt.Errorf("exemplar: %v", err)
 	}
 	fields := strings.Fields(strings.TrimSpace(s[j+1:]))
 	if len(fields) < 1 || len(fields) > 2 { // value [timestamp]
@@ -523,30 +544,48 @@ func lintExemplar(s string) error {
 	return nil
 }
 
-// splitLabelPairs splits a label body on commas outside quoted values.
-func splitLabelPairs(s string) []string {
-	var parts []string
-	inStr := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch {
-		case inStr:
-			if s[i] == '\\' {
-				i++
-			} else if s[i] == '"' {
-				inStr = false
-			}
-		case s[i] == '"':
-			inStr = true
-		case s[i] == ',':
-			parts = append(parts, strings.TrimSpace(s[start:i]))
-			start = i + 1
+// parseLabels parses the body of a label set (the text between the
+// braces) and unescapes each value. The only escapes text format 0.0.4
+// defines are \\, \" and \n; any other is an error.
+func parseLabels(body string) ([]Label, error) {
+	var labels []Label
+	for rest := strings.TrimSpace(body); rest != ""; {
+		name, after, ok := strings.Cut(rest, "=")
+		name, after = strings.TrimSpace(name), strings.TrimSpace(after)
+		if !ok || !labelNameRe.MatchString(name) {
+			return nil, fmt.Errorf("malformed label %q", rest)
 		}
+		if !strings.HasPrefix(after, `"`) {
+			return nil, fmt.Errorf("label %s: value not quoted", name)
+		}
+		var val strings.Builder
+		i := 1
+		for ; i < len(after) && after[i] != '"'; i++ {
+			c := after[i]
+			if c == '\\' && i+1 < len(after) {
+				i++
+				switch after[i] {
+				case '\\', '"':
+					c = after[i]
+				case 'n':
+					c = '\n'
+				default:
+					return nil, fmt.Errorf("label %s: invalid escape %q", name, after[i-1:i+1])
+				}
+			}
+			val.WriteByte(c)
+		}
+		if i >= len(after) {
+			return nil, fmt.Errorf("label %s: unterminated value", name)
+		}
+		labels = append(labels, Label{Name: name, Value: val.String()})
+		rest = strings.TrimSpace(after[i+1:])
+		if rest != "" && rest[0] != ',' {
+			return nil, fmt.Errorf("label %s: want ',' after value", name)
+		}
+		rest = strings.TrimPrefix(rest, ",")
 	}
-	if tail := strings.TrimSpace(s[start:]); tail != "" {
-		parts = append(parts, tail)
-	}
-	return parts
+	return labels, nil
 }
 
 func parsePromValue(s string) (float64, error) {

@@ -182,3 +182,112 @@ func TestRuntimeFamiliesLintClean(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelValueEscaping pins text format 0.0.4's label-value escaping:
+// only backslash, double quote and newline are escaped, other valid UTF-8
+// is written as is and invalid UTF-8 becomes U+FFFD. LintExposition
+// rejects any other escape, such as the Go-style ones %q would write.
+func TestLabelValueEscaping(t *testing.T) {
+	cases := []struct {
+		name, value, wire, goWire string
+	}{
+		{"tab", "a\tb", "a\tb", `a\tb`},
+		{"control byte", "a\x01b", "a\x01b", `a\x01b`},
+		{"no-break space", "a\u00a0b", "a\u00a0b", `a\u00a0b`},
+		{"invalid UTF-8", "caf\xe9", "caf\ufffd", `caf\xe9`},
+	}
+	for _, tc := range cases {
+		var sb strings.Builder
+		fam := MetricFamily{Name: "x", Help: "h", Type: Gauge, Samples: []Sample{{Labels: []Label{{"l", tc.value}}, Value: 1}}}
+		if err := WriteExposition(&sb, []MetricFamily{fam}); err != nil {
+			t.Fatal(err)
+		}
+		want := "# HELP x h\n# TYPE x gauge\nx{l=\"" + tc.wire + "\"} 1\n"
+		if sb.String() != want {
+			t.Errorf("%s: rendered %q, want %q", tc.name, sb.String(), want)
+		}
+		if problems := LintExposition(strings.NewReader(want)); len(problems) != 0 {
+			t.Errorf("%s: lint flags the correct rendering: %v", tc.name, problems)
+		}
+		bad := "# TYPE x gauge\nx{l=\"" + tc.goWire + "\"} 1\n"
+		problems := LintExposition(strings.NewReader(bad))
+		if len(problems) != 1 || !strings.Contains(problems[0], "invalid escape") {
+			t.Errorf("%s: lint of %q = %v, want one invalid-escape problem", tc.name, bad, problems)
+		}
+	}
+}
+
+// FuzzWriteExposition renders families with arbitrary help text, label
+// values and an exemplar trace ID. The output must pass Lint and
+// LintExposition, and the help text and every label value must parse back
+// equal to the input, each byte of invalid UTF-8 read as U+FFFD.
+func FuzzWriteExposition(f *testing.F) {
+	f.Add("Requests by route.", `GET /v1/diff?a="x"`, "4bf92f3577b34da6a3ce929d0e0e4736")
+	f.Add("two\nlines \\ here", "a\tb\x01c\u00a0", "caf\xe9")
+	f.Add("h", `\n\\"`, "}{,=# {")
+	f.Fuzz(func(t *testing.T, help, value, trace string) {
+		if help == "" {
+			t.Skip("Lint requires HELP text")
+		}
+		fams := []MetricFamily{
+			{Name: "fz_total", Help: help, Type: Counter, Samples: []Sample{{Labels: []Label{{"a", value}, {"b", trace}}, Value: 1}}},
+			{Name: "fz_seconds", Help: help, Type: Histogram, Samples: HistogramSamplesExemplars(
+				[]Label{{"a", value}}, []float64{1}, []uint64{1, 0}, 0.5, []*Exemplar{{TraceID: trace, Seconds: 0.5}})},
+		}
+		if problems := Lint(fams); len(problems) != 0 {
+			t.Fatalf("Lint: %v", problems)
+		}
+		var sb strings.Builder
+		if err := WriteExposition(&sb, fams); err != nil {
+			t.Fatal(err)
+		}
+		text := sb.String()
+		if problems := LintExposition(strings.NewReader(text)); len(problems) != 0 {
+			t.Fatalf("LintExposition: %v\n%s", problems, text)
+		}
+
+		want := map[string]string{"a": string([]rune(value)), "b": string([]rune(trace)), "trace_id": string([]rune(trace))}
+		unescapeHelp := strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+		exemplars := 0
+		for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+			if h, ok := strings.CutPrefix(line, "# HELP "); ok {
+				_, got, _ := strings.Cut(h, " ")
+				if got = unescapeHelp.Replace(got); got != string([]rune(help)) {
+					t.Errorf("help parsed back as %q, want %q", got, string([]rune(help)))
+				}
+				continue
+			}
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			open := strings.IndexByte(line, '{')
+			end, err := closingBrace(line, open)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			sets := []string{line[open+1 : end]}
+			if _, ex, ok := strings.Cut(line[end+1:], "# "); ok {
+				exEnd, err := closingBrace(ex, 0)
+				if err != nil {
+					t.Fatalf("exemplar in %q: %v", line, err)
+				}
+				sets = append(sets, ex[1:exEnd])
+				exemplars++
+			}
+			for _, set := range sets {
+				labels, err := parseLabels(set)
+				if err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				for _, l := range labels {
+					if w, ok := want[l.Name]; ok && l.Value != w {
+						t.Errorf("label %s parsed back as %q, want %q", l.Name, l.Value, w)
+					}
+				}
+			}
+		}
+		if wantEx := len(trace) > 0; (exemplars == 1) != wantEx {
+			t.Errorf("%d exemplars rendered for trace ID %q", exemplars, trace)
+		}
+	})
+}

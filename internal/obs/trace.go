@@ -1,8 +1,8 @@
 // Package obs is the module's dependency-free observability layer:
 // W3C-traceparent-compatible request tracing into a bounded in-process
-// ring buffer, Prometheus text-format exposition, Go runtime gauges, and
-// an opt-in debug mux (pprof + trace inspection). Everything is stdlib
-// only, like the rest of the module.
+// ring buffer, a metric registry with Prometheus text-format exposition,
+// Go runtime gauges, and an opt-in debug mux (pprof + trace inspection).
+// Everything is stdlib only, like the rest of the module.
 //
 // The tracing model is deliberately small. A Tracer starts root spans
 // (one per request or background operation); any code that holds the

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/verify"
 )
@@ -26,12 +27,12 @@ type verifierShard struct {
 // shares it across requests — safe now that verify.Verifier locks its lazy
 // pools.
 type verifierCache struct {
-	shards  [verifierCacheShards]verifierShard
-	metrics *Metrics
+	shards [verifierCacheShards]verifierShard
+	events *obs.CounterVec // the "cache" counters
 }
 
-func newVerifierCache(m *Metrics) *verifierCache {
-	c := &verifierCache{metrics: m}
+func newVerifierCache(events *obs.CounterVec) *verifierCache {
+	c := &verifierCache{events: events}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*verify.Verifier)
 	}
@@ -52,16 +53,16 @@ func (c *verifierCache) get(snap *store.Snapshot) *verify.Verifier {
 	v, ok := sh.m[key]
 	sh.mu.RUnlock()
 	if ok {
-		c.metrics.cacheEvent("verifier", true)
+		c.events.Add("verifier_hits", 1)
 		return v
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if v, ok := sh.m[key]; ok {
-		c.metrics.cacheEvent("verifier", true)
+		c.events.Add("verifier_hits", 1)
 		return v
 	}
-	c.metrics.cacheEvent("verifier", false)
+	c.events.Add("verifier_misses", 1)
 	v = verify.New(snap)
 	sh.m[key] = v
 	return v

@@ -176,7 +176,7 @@ func (sc *verifyScratch) parseChain() error {
 // count records one emitted verdict.
 func (sc *verifyScratch) count(m *Metrics, outcome string, hit bool) {
 	if sc.hits == nil {
-		sc.hits, sc.misses = m.cachePair("verdict")
+		sc.hits, sc.misses = m.cache.With("verdict_hits"), m.cache.With("verdict_misses")
 	}
 	if hit {
 		sc.hits.Add(1)
@@ -185,7 +185,7 @@ func (sc *verifyScratch) count(m *Metrics, outcome string, hit bool) {
 	}
 	ctr, seen := sc.outcomeCtr[outcome]
 	if !seen {
-		ctr = m.outcomeCounter(outcome)
+		ctr = m.outcomes.With(outcome)
 		sc.outcomeCtr[outcome] = ctr
 	}
 	if ctr != nil {

@@ -96,10 +96,10 @@ func TestVerifyConcurrentLoad(t *testing.T) {
 	// The stampede must have shared work: with 384 requests over ≤ 12
 	// distinct (chain, store, purpose, time) keys, nearly everything after
 	// the first round is a verdict-cache hit.
-	if inner.Metrics().CacheHits("verdict") == 0 {
+	if n, _ := inner.Metrics().Value("cache", "verdict_hits"); n == 0 {
 		t.Error("no verdict cache hits under concurrent load")
 	}
-	if inner.Metrics().CacheHits("verifier") == 0 {
+	if n, _ := inner.Metrics().Value("cache", "verifier_hits"); n == 0 {
 		t.Error("no verifier cache hits under concurrent load")
 	}
 }

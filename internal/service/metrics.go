@@ -4,7 +4,7 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -14,147 +14,106 @@ import (
 // statusClasses maps code/100 to its class key without formatting.
 var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx"}
 
-// Metrics aggregates the server's expvar counters. Each Server owns a
-// private expvar.Map rather than publishing process globals, so multiple
-// servers (tests, embedded use) never collide on expvar names; cmd/trustd
-// publishes the map under "trustd" for the standard /debug/vars view.
+// Metrics is the server's metric registry. Every metric is declared once,
+// in newMetrics, with its /metrics JSON key, its Prometheus name, its help
+// text and its kind; both endpoints render from the registry, and
+// Value reads one metric by key (tests assert through it). Each Server
+// owns a private registry rather than publishing process globals, so
+// multiple servers (tests, embedded use) never collide on expvar names;
+// cmd/trustd publishes Map under "trustd" for the standard /debug/vars
+// view.
 //
-// Gauges that describe "now" — uptime, per-provider staleness — are
-// expvar.Funcs computed at read time from the current serving database,
-// so /debug/vars (which bypasses this type's handler entirely) and
-// long-lived servers that never reload still report the truth.
+// The fields are the handles the recording sites hold, so recording a
+// metric is one atomic add. Gauges that describe "now" — uptime,
+// per-provider staleness — are computed at read time from the serving
+// generation, so /debug/vars and long-lived servers that never reload
+// still report the truth.
 type Metrics struct {
-	root *expvar.Map
+	*obs.Registry
 
-	requests  *expvar.Map // per route: "GET /v1/providers" → count
-	status    *expvar.Map // per status class: "2xx" → count
-	outcomes  *expvar.Map // per verify outcome: "ok", "no-anchor", ...
-	cache     *expvar.Map // verifier/verdict cache hit/miss counters
-	inFlight  *expvar.Int
-	verified  *expvar.Int // total per-store verdicts computed (incl. cached)
-	rejected  *expvar.Int // requests refused before verification (4xx)
+	requests, status, outcomes, cache, simEvents *obs.CounterVec
 
-	// Batch pipeline counters (POST /v1/verify/batch).
-	batchBatches  *expvar.Int // batch requests started
-	batchLines    *expvar.Int // NDJSON input lines consumed
-	batchVerdicts *expvar.Int // verdict rows streamed out
-	batchRejects  *expvar.Int // lines answered with a per-line error
-	batchQueue    *expvar.Int // jobs currently queued between reader and writer (gauge)
+	// latency holds one HDR histogram per registered route, over the
+	// shared obs.HDRBounds layout that cmd/loadgen buckets against on the
+	// client side, so the two can be diffed per bucket.
+	latency *obs.HDRVec
 
-	// What-if simulation counters (POST /v1/simulate, GET /v1/simulate/sweep).
-	simEvents       *expvar.Map   // per event kind: "removal", "distrust-after", "ca-removal", "error"
-	simSweeps       *expvar.Int   // sweep responses served (cached or fresh)
-	simSweepBuilds  *expvar.Int   // sweep rankings actually computed (≤ one per generation)
-	simSweepPairs   *expvar.Int   // (root, store) pairs in the latest ranking (gauge)
-	simSweepBuildMs *expvar.Float // wall time of the latest ranking build (gauge)
-
-	errors    *expvar.Int // responses that failed server-side (5xx)
-	reloads   *expvar.Int // hot swaps installed after the initial database
-	watchers  *expvar.Int // live /v1/events/watch streams
-	lastLoad  *expvar.String
-	startedAt time.Time
-
-	// Latency is tracked in HDR log-linear histograms over the shared
-	// obs.HDRBounds layout — the same bounds cmd/loadgen buckets against
-	// on the client side, so the two can be diffed per bucket. routes
-	// holds one exemplar-capturing histogram per registered route; all
-	// registration happens while the Server is built, before any
-	// request, so requests read the map without locking. latencyAll is
-	// the cross-route aggregate (and the fallback for unregistered
-	// routes).
-	routes     map[string]*obs.HDRHistogram
-	latencyAll *obs.HDRHistogram
+	inFlight, verified, rejected, errors, reloads, watchers           *expvar.Int
+	batchBatches, batchLines, batchVerdicts, batchRejects, batchQueue *expvar.Int
+	simSweeps, simSweepBuilds, simSweepPairs                          *expvar.Int
+	simSweepBuildMs                                                   *expvar.Float
+	lastLoad                                                          *expvar.String
 
 	// slo feeds the scrape-time trustd_slo_* burn-rate families.
 	slo *sloRing
-
-	// db is the database the freshness gauges are computed against; it
-	// follows the serving generation (recordReload) so scrape-time lag is
-	// always measured against what is actually being served.
-	db atomic.Pointer[store.Database]
 }
 
-func newMetrics() *Metrics {
+// newMetrics declares every metric of the server. cur returns the serving
+// generation, which the read-time gauges follow.
+func newMetrics(cur func() *dbState, tracer *obs.Tracer) *Metrics {
+	r := obs.NewRegistry(promNamespace)
+	started := time.Now()
 	m := &Metrics{
-		root:      new(expvar.Map).Init(),
-		requests:  new(expvar.Map).Init(),
-		status:    new(expvar.Map).Init(),
-		outcomes:  new(expvar.Map).Init(),
-		cache:     new(expvar.Map).Init(),
-		inFlight:  new(expvar.Int),
-		verified:  new(expvar.Int),
-		rejected:  new(expvar.Int),
+		Registry: r,
+		requests: r.CounterVec("requests", "requests_total", "HTTP requests by route.", obs.Labeled("route")),
+		status:   r.CounterVec("status", "responses_total", "HTTP responses by status class.", obs.Labeled("class")),
+		outcomes: r.CounterVec("verify_outcomes", "verify_outcomes_total", "Per-store verify verdicts by outcome.", obs.Labeled("outcome")),
+		cache:    r.CounterVec("cache", "cache_events_total", "Cache lookups by cache and result.", cacheLabels),
+		latency:  r.HDRVec("latency_ms", "request_duration_seconds", "HTTP request latency by route (shared HDR log-linear buckets).", obs.Labeled("route")),
+		inFlight: r.Gauge("in_flight", "in_flight_requests", "Requests currently being served."),
+		verified: r.Counter("verdicts_total", "verdicts_total", "Per-store verdicts computed, including cache hits."),
 
-		batchBatches:  new(expvar.Int),
-		batchLines:    new(expvar.Int),
-		batchVerdicts: new(expvar.Int),
-		batchRejects:  new(expvar.Int),
-		batchQueue:    new(expvar.Int),
+		batchBatches:  r.Counter("batches_total", "batches_total", "Batch verify requests started."),
+		batchLines:    r.Counter("batch_lines_total", "batch_lines_total", "NDJSON lines consumed by /v1/verify/batch."),
+		batchVerdicts: r.Counter("batch_verdicts_total", "batch_verdicts_total", "Verdict rows streamed by /v1/verify/batch."),
+		batchRejects:  r.Counter("batch_rejected_lines_total", "batch_rejected_lines_total", "Batch lines answered with a per-line error."),
+		batchQueue:    r.Gauge("batch_queue_depth", "batch_queue_depth", "Batch jobs queued between reader and writer."),
 
-		simEvents:       new(expvar.Map).Init(),
-		simSweeps:       new(expvar.Int),
-		simSweepBuilds:  new(expvar.Int),
-		simSweepPairs:   new(expvar.Int),
-		simSweepBuildMs: new(expvar.Float),
+		simEvents:       r.CounterVec("simulate_events", "simulate_events_total", "What-if events evaluated by kind.", obs.Labeled("kind")),
+		simSweeps:       r.Counter("simulate_sweeps_total", "simulate_sweeps_total", "Sweep rankings served (cached or fresh)."),
+		simSweepBuilds:  r.Counter("simulate_sweep_builds_total", "simulate_sweep_builds_total", "Sweep rankings computed (at most one per generation)."),
+		simSweepPairs:   r.Gauge("simulate_sweep_pairs", "simulate_sweep_pairs", "Scenario pairs in the latest sweep ranking."),
+		simSweepBuildMs: r.FloatGauge("simulate_sweep_build_ms", "simulate_sweep_build_seconds", "Wall time of the latest sweep ranking build.", 1e-3),
 
-		errors:    new(expvar.Int),
-		reloads:   new(expvar.Int),
-		watchers:  new(expvar.Int),
-		lastLoad:  new(expvar.String),
-		startedAt: time.Now(),
-
-		routes:     map[string]*obs.HDRHistogram{},
-		latencyAll: obs.NewHDRHistogramExemplars(),
-		slo:        newSLORing(),
+		rejected: r.Counter("rejected_total", "rejected_total", "Requests refused before verification (4xx)."),
+		errors:   r.Counter("errors_total", "errors_total", "Responses that failed server-side (5xx)."),
+		reloads:  r.Counter("reloads_total", "reloads_total", "Database hot swaps installed after startup."),
+		watchers: r.Gauge("event_watchers", "event_watchers", "Live /v1/events/watch streams."),
+		lastLoad: r.String("last_reload"),
+		slo:      newSLORing(),
 	}
-	m.root.Set("requests", m.requests)
-	m.root.Set("status", m.status)
-	m.root.Set("verify_outcomes", m.outcomes)
-	m.root.Set("cache", m.cache)
-	m.root.Set("latency_ms", expvar.Func(m.latencySummary))
-	m.root.Set("provider_lag_seconds", expvar.Func(m.providerLag))
-	m.root.Set("provider_kinds", expvar.Func(m.providerKinds))
-	m.root.Set("in_flight", m.inFlight)
-	m.root.Set("batches_total", m.batchBatches)
-	m.root.Set("batch_lines_total", m.batchLines)
-	m.root.Set("batch_verdicts_total", m.batchVerdicts)
-	m.root.Set("batch_rejected_lines_total", m.batchRejects)
-	m.root.Set("batch_queue_depth", m.batchQueue)
-	m.root.Set("simulate_events", m.simEvents)
-	m.root.Set("simulate_sweeps_total", m.simSweeps)
-	m.root.Set("simulate_sweep_builds_total", m.simSweepBuilds)
-	m.root.Set("simulate_sweep_pairs", m.simSweepPairs)
-	m.root.Set("simulate_sweep_build_ms", m.simSweepBuildMs)
-	m.root.Set("verdicts_total", m.verified)
-	m.root.Set("rejected_total", m.rejected)
-	m.root.Set("errors_total", m.errors)
-	m.root.Set("reloads_total", m.reloads)
-	m.root.Set("event_watchers", m.watchers)
-	m.root.Set("last_reload", m.lastLoad)
-	m.root.Set("uptime_seconds", expvar.Func(func() any {
-		return time.Since(m.startedAt).Seconds()
-	}))
+	r.Func("uptime_seconds", "uptime_seconds", "Seconds since the server started.", obs.Gauge,
+		func() float64 { return time.Since(started).Seconds() })
+	r.FuncVec("provider_lag_seconds", "provider_lag_seconds", "Seconds since each provider's newest snapshot date.", obs.Gauge,
+		obs.Labeled("provider"), func() map[string]float64 { return providerLag(cur().db) })
+	r.FuncVec("provider_kinds", "provider_kinds", "Serving providers by ecosystem kind.", obs.Gauge,
+		obs.Labeled("kind"), func() map[string]float64 { return providerKinds(cur().db) })
+	r.Func("", "traces_started_total", "Request traces started.", obs.Counter,
+		func() float64 { return float64(tracer.Started()) })
+	r.Func("", "generation_epoch", "Cluster epoch of the serving generation.", obs.Gauge,
+		func() float64 { return float64(cur().epoch) })
 	return m
 }
 
-// recordReload points the freshness gauges at the database being
-// installed. The per-provider lag itself — seconds between a provider's
-// latest snapshot date and now — is computed on every read, so a
-// provider whose gauge keeps growing is a store we have stopped
-// receiving snapshots for (the live version of the paper's update-lag
-// observation) even if the server never reloads again.
-func (m *Metrics) recordReload(db *store.Database) {
-	m.db.Store(db)
-	m.lastLoad.Set(time.Now().UTC().Format(time.RFC3339))
+// cacheLabels splits cache counter keys like "verdict_hits" or
+// "verifier_misses" into {cache="verdict",result="hit"} series.
+func cacheLabels(key string) []obs.Label {
+	cache, result := key, "other"
+	if c, ok := strings.CutSuffix(key, "_hits"); ok {
+		cache, result = c, "hit"
+	} else if c, ok := strings.CutSuffix(key, "_misses"); ok {
+		cache, result = c, "miss"
+	}
+	return []obs.Label{{Name: "cache", Value: cache}, {Name: "result", Value: result}}
 }
 
-// providerLag computes the per-provider staleness map at read time.
-func (m *Metrics) providerLag() any {
-	out := map[string]int64{}
-	db := m.db.Load()
-	if db == nil {
-		return out
-	}
+// providerLag computes each provider's staleness — seconds between its
+// latest snapshot date and now. It is computed on every read, so a
+// provider whose gauge keeps growing is a store we have stopped receiving
+// snapshots for (the live version of the paper's update-lag observation)
+// even if the server never reloads again.
+func providerLag(db *store.Database) map[string]float64 {
+	out := map[string]float64{}
 	now := time.Now()
 	for _, name := range db.Providers() {
 		h := db.History(name)
@@ -162,21 +121,16 @@ func (m *Metrics) providerLag() any {
 			continue
 		}
 		if latest := h.Latest(); latest != nil {
-			out[name] = int64(now.Sub(latest.Date) / time.Second)
+			out[name] = float64(now.Sub(latest.Date) / time.Second)
 		}
 	}
 	return out
 }
 
 // providerKinds counts serving providers by ecosystem kind ("tls", "ct",
-// "manifest") at read time, following the serving generation like
-// providerLag.
-func (m *Metrics) providerKinds() any {
-	out := map[string]int{}
-	db := m.db.Load()
-	if db == nil {
-		return out
-	}
+// "manifest").
+func providerKinds(db *store.Database) map[string]float64 {
+	out := map[string]float64{}
 	for _, name := range db.Providers() {
 		h := db.History(name)
 		if h == nil {
@@ -189,163 +143,14 @@ func (m *Metrics) providerKinds() any {
 	return out
 }
 
-// ProviderKindCount returns how many serving providers have the given
-// ecosystem kind (test hook).
-func (m *Metrics) ProviderKindCount(kind string) int {
-	if v, ok := m.providerKinds().(map[string]int)[kind]; ok {
-		return v
-	}
-	return 0
-}
-
-// ReloadCount returns the number of hot swaps installed (test hook).
-func (m *Metrics) ReloadCount() int64 { return m.reloads.Value() }
-
-// BatchLines returns the NDJSON input-line counter (test hook).
-func (m *Metrics) BatchLines() int64 { return m.batchLines.Value() }
-
-// BatchVerdicts returns the streamed-verdict counter (test hook).
-func (m *Metrics) BatchVerdicts() int64 { return m.batchVerdicts.Value() }
-
-// BatchRejects returns the per-line error counter (test hook).
-func (m *Metrics) BatchRejects() int64 { return m.batchRejects.Value() }
-
-// BatchQueueDepth returns the live reader→writer queue occupancy; 0 when
-// no batch is in flight (test hook — a leak here means jobs were dropped).
-func (m *Metrics) BatchQueueDepth() int64 { return m.batchQueue.Value() }
-
-// ErrorCount returns the 5xx response counter (test hook).
-func (m *Metrics) ErrorCount() int64 { return m.errors.Value() }
-
-// SimulateEvents returns the counter for one simulate event kind (test
-// hook).
-func (m *Metrics) SimulateEvents(kind string) int64 {
-	if v, ok := m.simEvents.Get(kind).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
-// SimulateSweeps returns the sweep-response counter (test hook).
-func (m *Metrics) SimulateSweeps() int64 { return m.simSweeps.Value() }
-
-// SimulateSweepBuilds returns how many sweep rankings were actually
-// computed — at most one per generation (test hook).
-func (m *Metrics) SimulateSweepBuilds() int64 { return m.simSweepBuilds.Value() }
-
-// ProviderLagSeconds returns a provider's freshness gauge (test hook);
-// -1 when the provider is not in the serving database.
-func (m *Metrics) ProviderLagSeconds(provider string) int64 {
-	if v, ok := m.providerLag().(map[string]int64)[provider]; ok {
-		return v
-	}
-	return -1
-}
-
-// Map exposes the metric tree, e.g. for expvar.Publish in cmd/trustd.
-func (m *Metrics) Map() *expvar.Map { return m.root }
-
-// registerRoute allocates the route's latency histogram. Called only
-// during Server construction (see Metrics.routes).
-func (m *Metrics) registerRoute(route string) {
-	m.routes[route] = obs.NewHDRHistogramExemplars()
-}
-
-// observeLatency records one request into the per-route and aggregate
-// HDR histograms (two atomic adds each) and, when the request was
-// traced, stamps the trace ID as the bucket's exemplar so the
-// exposition links straight to /debug/traces.
-func (m *Metrics) observeLatency(route string, d time.Duration, trace obs.TraceID) {
-	if h := m.routes[route]; h != nil {
-		h.ObserveTrace(d, trace)
-	}
-	m.latencyAll.ObserveTrace(d, trace)
-}
-
-// latencySummary renders the /metrics JSON view of the latency state:
-// per-route count, sum and headline quantiles computed at read time from
-// the HDR histograms (the raw buckets are served by
-// /metrics/prometheus, which machines should scrape instead).
-func (m *Metrics) latencySummary() any {
-	out := make(map[string]map[string]float64, len(m.routes)+1)
-	add := func(name string, h *obs.HDRHistogram) {
-		s := h.Snapshot()
-		out[name] = map[string]float64{
-			"count":   float64(s.Count),
-			"sum_ms":  s.SumSeconds * 1000,
-			"p50_ms":  s.Quantile(0.50) * 1000,
-			"p90_ms":  s.Quantile(0.90) * 1000,
-			"p99_ms":  s.Quantile(0.99) * 1000,
-			"p999_ms": s.Quantile(0.999) * 1000,
-		}
-	}
-	add("all", m.latencyAll)
-	for route, h := range m.routes {
-		add(route, h)
-	}
-	return out
-}
-
 // LatencySnapshot returns a route's HDR histogram snapshot, or the
 // aggregate when route is "" (test hook).
-func (m *Metrics) LatencySnapshot(route string) obs.HDRSnapshot {
-	if route == "" {
-		return m.latencyAll.Snapshot()
-	}
-	if h := m.routes[route]; h != nil {
-		return h.Snapshot()
-	}
-	return obs.HDRSnapshot{}
-}
+func (m *Metrics) LatencySnapshot(route string) obs.HDRSnapshot { return m.latency.Snapshot(route) }
 
 // SLOBurnRates returns the availability and latency burn rates over a
 // window (test hook; minutes as in the exposed window labels).
 func (m *Metrics) SLOBurnRates(minutes int64) (availability, latency float64, requests uint64) {
 	return m.slo.burnRates(minutes)
-}
-
-// cachePair returns the hit/miss counters for one cache, creating them if
-// absent. The batch hot path resolves these once per request so recording a
-// cache event is a single atomic add, not an expvar.Map walk plus a key
-// concatenation per verdict.
-func (m *Metrics) cachePair(name string) (hits, misses *expvar.Int) {
-	m.cache.Add(name+"_hits", 0)
-	m.cache.Add(name+"_misses", 0)
-	hits, _ = m.cache.Get(name + "_hits").(*expvar.Int)
-	misses, _ = m.cache.Get(name + "_misses").(*expvar.Int)
-	return hits, misses
-}
-
-// outcomeCounter returns the counter for one verify outcome, creating it if
-// absent (same rationale as cachePair).
-func (m *Metrics) outcomeCounter(outcome string) *expvar.Int {
-	m.outcomes.Add(outcome, 0)
-	ctr, _ := m.outcomes.Get(outcome).(*expvar.Int)
-	return ctr
-}
-
-func (m *Metrics) cacheEvent(name string, hit bool) {
-	if hit {
-		m.cache.Add(name+"_hits", 1)
-	} else {
-		m.cache.Add(name+"_misses", 1)
-	}
-}
-
-// CacheHits returns a cache counter's current value (test hook).
-func (m *Metrics) CacheHits(name string) int64 {
-	if v, ok := m.cache.Get(name + "_hits").(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
-}
-
-// RequestCount returns a route counter's current value (test hook).
-func (m *Metrics) RequestCount(route string) int64 {
-	if v, ok := m.requests.Get(route).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
 }
 
 // statusRecorder captures the response status for metrics.
@@ -365,7 +170,8 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 
 // record counts one finished request: route, status class, refusal/error
 // counters, the latency histograms (with the trace ID as a bucket
-// exemplar) and the SLO ring.
+// exemplar, so the exposition links straight to /debug/traces) and the
+// SLO ring.
 func (m *Metrics) record(route string, code int, d time.Duration, trace obs.TraceID) {
 	m.requests.Add(route, 1)
 	if c := code / 100; c >= 0 && c < len(statusClasses) {
@@ -379,15 +185,15 @@ func (m *Metrics) record(route string, code int, d time.Duration, trace obs.Trac
 	if code >= 500 {
 		m.errors.Add(1)
 	}
-	m.observeLatency(route, d, trace)
+	m.latency.ObserveTrace(route, d, trace)
 	m.slo.observe(code, d)
 }
 
 // handler serves the metric tree as JSON — the expvar wire format, scoped to
-// this server's map.
+// this server's registry.
 func (m *Metrics) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, m.root.String())
+		fmt.Fprintln(w, m.Map().String())
 	})
 }

@@ -216,7 +216,7 @@ func TestPerRouteLatencyAndErrorCounters(t *testing.T) {
 	if agg := m.LatencySnapshot(""); agg.Count == 0 {
 		t.Error("aggregate latency histogram empty after a request")
 	}
-	if m.RequestCount("GET /v1/providers") == 0 {
+	if n, _ := m.Value("requests", "GET /v1/providers"); n == 0 {
 		t.Error("route counter empty")
 	}
 	if _, _, req := m.SLOBurnRates(5); req == 0 {
@@ -248,11 +248,11 @@ func TestPerRouteLatencyAndErrorCounters(t *testing.T) {
 func TestUptimeAndLagComputedAtRead(t *testing.T) {
 	_, srv := fixture(t)
 	m := srv.Metrics()
-	if lag := m.ProviderLagSeconds("NSS"); lag <= 0 {
-		t.Errorf("NSS lag = %d, want positive (snapshots are historical)", lag)
+	if lag, _ := m.Value("provider_lag_seconds", "NSS"); lag <= 0 {
+		t.Errorf("NSS lag = %v, want positive (snapshots are historical)", lag)
 	}
-	if lag := m.ProviderLagSeconds("NoSuchProvider"); lag != -1 {
-		t.Errorf("unknown provider lag = %d, want -1", lag)
+	if lag, ok := m.Value("provider_lag_seconds", "NoSuchProvider"); ok {
+		t.Errorf("unknown provider lag = %v, want no series", lag)
 	}
 	var raw map[string]any
 	get(t, srv, "/metrics", &raw)

@@ -1,11 +1,7 @@
 package service
 
 import (
-	"expvar"
 	"net/http"
-	"sort"
-	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -19,10 +15,10 @@ const promNamespace = "trustd_"
 // requires the capability. Cluster origins/replicas register explicitly
 // via AddStatsSource.
 
-// handlePrometheus serves the metric tree in the Prometheus text
-// exposition format (0.0.4). It is a bridge, not a registry: families are
-// built at scrape time from the same expvar tree /metrics serves as JSON,
-// so the two endpoints can never disagree.
+// handlePrometheus serves the metrics in the Prometheus text exposition
+// format (0.0.4). Families are built at scrape time from the same
+// registry /metrics serves as JSON, so the two endpoints can never
+// disagree.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := obs.WriteExposition(w, s.promFamilies()); err != nil {
@@ -30,40 +26,10 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// promFamilies assembles the full family set: request counters, latency
-// histograms, cache and verify counters, freshness gauges, tracer and
-// tracker stats, and Go runtime health.
+// promFamilies assembles the full family set: the registry's metrics,
+// SLO burn rates, tracker and cluster stats, and Go runtime health.
 func (s *Server) promFamilies() []obs.MetricFamily {
-	m := s.metrics
-	fams := []obs.MetricFamily{
-		mapCounter(promNamespace+"requests_total", "HTTP requests by route.", m.requests, "route"),
-		mapCounter(promNamespace+"responses_total", "HTTP responses by status class.", m.status, "class"),
-		mapCounter(promNamespace+"verify_outcomes_total", "Per-store verify verdicts by outcome.", m.outcomes, "outcome"),
-		cacheCounter(promNamespace+"cache_events_total", m.cache),
-		s.latencyHistogram(),
-		obs.GaugeFamily(promNamespace+"in_flight_requests", "Requests currently being served.", float64(m.inFlight.Value())),
-		obs.CounterFamily(promNamespace+"verdicts_total", "Per-store verdicts computed, including cache hits.", float64(m.verified.Value())),
-		obs.CounterFamily(promNamespace+"batches_total", "Batch verify requests started.", float64(m.batchBatches.Value())),
-		obs.CounterFamily(promNamespace+"batch_lines_total", "NDJSON lines consumed by /v1/verify/batch.", float64(m.batchLines.Value())),
-		obs.CounterFamily(promNamespace+"batch_verdicts_total", "Verdict rows streamed by /v1/verify/batch.", float64(m.batchVerdicts.Value())),
-		obs.CounterFamily(promNamespace+"batch_rejected_lines_total", "Batch lines answered with a per-line error.", float64(m.batchRejects.Value())),
-		obs.GaugeFamily(promNamespace+"batch_queue_depth", "Batch jobs queued between reader and writer.", float64(m.batchQueue.Value())),
-		mapCounter(promNamespace+"simulate_events_total", "What-if events evaluated by kind.", m.simEvents, "kind"),
-		obs.CounterFamily(promNamespace+"simulate_sweeps_total", "Sweep rankings served (cached or fresh).", float64(m.simSweeps.Value())),
-		obs.CounterFamily(promNamespace+"simulate_sweep_builds_total", "Sweep rankings computed (at most one per generation).", float64(m.simSweepBuilds.Value())),
-		obs.GaugeFamily(promNamespace+"simulate_sweep_pairs", "Scenario pairs in the latest sweep ranking.", float64(m.simSweepPairs.Value())),
-		obs.GaugeFamily(promNamespace+"simulate_sweep_build_seconds", "Wall time of the latest sweep ranking build.", m.simSweepBuildMs.Value()/1000),
-		obs.CounterFamily(promNamespace+"rejected_total", "Requests refused before verification (4xx).", float64(m.rejected.Value())),
-		obs.CounterFamily(promNamespace+"errors_total", "Responses that failed server-side (5xx).", float64(m.errors.Value())),
-		obs.CounterFamily(promNamespace+"reloads_total", "Database hot swaps installed after startup.", float64(m.reloads.Value())),
-		obs.GaugeFamily(promNamespace+"event_watchers", "Live /v1/events/watch streams.", float64(m.watchers.Value())),
-		obs.GaugeFamily(promNamespace+"uptime_seconds", "Seconds since the server started.", time.Since(m.startedAt).Seconds()),
-		s.providerLagFamily(),
-		s.providerKindsFamily(),
-		obs.CounterFamily(promNamespace+"traces_started_total", "Request traces started.", float64(s.tracer.Started())),
-		obs.GaugeFamily(promNamespace+"generation_epoch", "Cluster epoch of the serving generation.", float64(s.cur().epoch)),
-	}
-	fams = append(fams, s.sloFamilies()...)
+	fams := append(s.metrics.Families(), s.sloFamilies()...)
 	if sp, ok := s.events.(StatsSource); ok {
 		fams = append(fams, sp.StatsFamilies(promNamespace)...)
 	}
@@ -71,79 +37,6 @@ func (s *Server) promFamilies() []obs.MetricFamily {
 		fams = append(fams, sp.StatsFamilies(promNamespace)...)
 	}
 	return append(fams, obs.RuntimeFamilies()...)
-}
-
-// providerLagFamily renders each provider's snapshot staleness, computed
-// at scrape time (satellite of the paper's update-lag measurement): a
-// provider whose series climbs unbounded has stopped publishing.
-func (s *Server) providerLagFamily() obs.MetricFamily {
-	fam := obs.MetricFamily{
-		Name: promNamespace + "provider_lag_seconds",
-		Help: "Seconds since each provider's newest snapshot date.",
-		Type: obs.Gauge,
-	}
-	lag, _ := s.metrics.providerLag().(map[string]int64)
-	for name, secs := range lag {
-		fam.Samples = append(fam.Samples, obs.Sample{
-			Labels: []obs.Label{{Name: "provider", Value: name}},
-			Value:  float64(secs),
-		})
-	}
-	return fam
-}
-
-// providerKindsFamily counts serving providers by ecosystem kind — the
-// scrape-time view of which trust ecosystems (TLS stores, CT logs,
-// vendor manifests) this instance is serving.
-func (s *Server) providerKindsFamily() obs.MetricFamily {
-	fam := obs.MetricFamily{
-		Name: promNamespace + "provider_kinds",
-		Help: "Serving providers by ecosystem kind.",
-		Type: obs.Gauge,
-	}
-	kinds, _ := s.metrics.providerKinds().(map[string]int)
-	names := make([]string, 0, len(kinds))
-	for kind := range kinds {
-		names = append(names, kind)
-	}
-	sort.Strings(names)
-	for _, kind := range names {
-		fam.Samples = append(fam.Samples, obs.Sample{
-			Labels: []obs.Label{{Name: "kind", Value: kind}},
-			Value:  float64(kinds[kind]),
-		})
-	}
-	return fam
-}
-
-// latencyHistogram renders the per-route HDR histograms as one
-// Prometheus histogram family with a route label. Buckets use the shared
-// obs.HDRBounds layout (identical to cmd/loadgen's client-side capture),
-// and buckets that hold a traced observation carry its trace ID as an
-// OpenMetrics-style exemplar, resolvable at
-// /debug/traces?trace_id=<id>. Routes that served no requests yet are
-// skipped to keep the exposition compact.
-func (s *Server) latencyHistogram() obs.MetricFamily {
-	fam := obs.MetricFamily{
-		Name: promNamespace + "request_duration_seconds",
-		Help: "HTTP request latency by route (shared HDR log-linear buckets).",
-		Type: obs.Histogram,
-	}
-	bounds := obs.HDRBounds()
-	routes := make([]string, 0, len(s.metrics.routes))
-	for r, h := range s.metrics.routes {
-		if h.TotalCount() > 0 {
-			routes = append(routes, r)
-		}
-	}
-	sort.Strings(routes)
-	for _, r := range routes {
-		h := s.metrics.routes[r]
-		snap := h.Snapshot()
-		fam.Samples = append(fam.Samples, obs.HistogramSamplesExemplars(
-			[]obs.Label{{Name: "route", Value: r}}, bounds, snap.Counts, snap.SumSeconds, h.Exemplars())...)
-	}
-	return fam
 }
 
 // sloFamilies derives the trustd_slo_* families from the minute ring at
@@ -177,46 +70,4 @@ func (s *Server) sloFamilies() []obs.MetricFamily {
 		burn,
 		win,
 	}
-}
-
-// mapCounter flattens an expvar.Map of integer counters into one labelled
-// counter family.
-func mapCounter(name, help string, m *expvar.Map, label string) obs.MetricFamily {
-	fam := obs.MetricFamily{Name: name, Help: help, Type: obs.Counter}
-	m.Do(func(kv expvar.KeyValue) {
-		if v, ok := kv.Value.(*expvar.Int); ok {
-			fam.Samples = append(fam.Samples, obs.Sample{
-				Labels: []obs.Label{{Name: label, Value: kv.Key}},
-				Value:  float64(v.Value()),
-			})
-		}
-	})
-	return fam
-}
-
-// cacheCounter splits keys like "verdict_hits" / "verifier_misses" into
-// {cache="verdict",result="hit"} series.
-func cacheCounter(name string, m *expvar.Map) obs.MetricFamily {
-	fam := obs.MetricFamily{
-		Name: name,
-		Help: "Cache lookups by cache and result.",
-		Type: obs.Counter,
-	}
-	m.Do(func(kv expvar.KeyValue) {
-		v, ok := kv.Value.(*expvar.Int)
-		if !ok {
-			return
-		}
-		cache, result := kv.Key, "other"
-		if c, ok := strings.CutSuffix(kv.Key, "_hits"); ok {
-			cache, result = c, "hit"
-		} else if c, ok := strings.CutSuffix(kv.Key, "_misses"); ok {
-			cache, result = c, "miss"
-		}
-		fam.Samples = append(fam.Samples, obs.Sample{
-			Labels: []obs.Label{{Name: "cache", Value: cache}, {Name: "result", Value: result}},
-			Value:  float64(v.Value()),
-		})
-	})
-	return fam
 }

@@ -200,13 +200,13 @@ type Server struct {
 func New(db *store.Database, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		metrics: newMetrics(),
-		tracer:  cfg.Tracer,
-		log:     cfg.Logger,
-		sem:     make(chan struct{}, cfg.VerifyWorkers),
-		mux:     http.NewServeMux(),
+		cfg:    cfg,
+		tracer: cfg.Tracer,
+		log:    cfg.Logger,
+		sem:    make(chan struct{}, cfg.VerifyWorkers),
+		mux:    http.NewServeMux(),
 	}
+	s.metrics = newMetrics(s.cur, cfg.Tracer)
 	s.scratch.New = func() any { return newVerifyScratch() }
 	s.install(db, "", s.epochCounter.Add(1))
 
@@ -237,7 +237,7 @@ func (s *Server) install(db *store.Database, tag string, epoch uint64) {
 	st := &dbState{
 		db:        db,
 		index:     BuildIndex(db),
-		verifiers: newVerifierCache(s.metrics),
+		verifiers: newVerifierCache(s.metrics.cache),
 		verdicts:  newLRUCache(s.cfg.VerdictCacheSize),
 		epoch:     epoch,
 	}
@@ -245,7 +245,7 @@ func (s *Server) install(db *store.Database, tag string, epoch uint64) {
 		st.etagOnce.Do(func() { st.etagVal = tag })
 	}
 	s.state.Store(st)
-	s.metrics.recordReload(db)
+	s.metrics.lastLoad.Set(time.Now().UTC().Format(time.RFC3339))
 	s.log.Info("index built",
 		"roots", st.index.Size(),
 		"snapshots", db.TotalSnapshots(),
@@ -325,7 +325,7 @@ func (s *Server) Generation() (hash string, epoch uint64) {
 
 // route registers an instrumented handler under a Go 1.22 mux pattern.
 func (s *Server) route(pattern string, h http.HandlerFunc) {
-	s.metrics.registerRoute(pattern)
+	s.metrics.latency.Add(pattern)
 	s.mux.Handle(pattern, s.instrument(pattern, h))
 }
 

@@ -326,7 +326,7 @@ func TestVerifyAllStoresAndCaching(t *testing.T) {
 			t.Errorf("store %v verdict not cached on the second call", v["store"])
 		}
 	}
-	if srv.Metrics().CacheHits("verdict") == 0 {
+	if n, _ := srv.Metrics().Value("cache", "verdict_hits"); n == 0 {
 		t.Error("verdict cache hit counter is zero after a repeat request")
 	}
 }
